@@ -16,7 +16,11 @@
 // flushes dead peers out of views because their entries age until they
 // are chosen for a shuffle, fail, and are dropped.
 //
-// Views are stored in a dense slice indexed by node ID, which lets one
+// Views live in one flat, pointer-free arena: ViewSize entry slots per
+// node ID in a single slab, plus a per-ID length word. The garbage
+// collector never scans it, one allocation replaces a slice per node,
+// and a warm round allocates O(shards), not O(n) — exchanges draw
+// their subsets into stack buffers. Dense ID indexing also lets one
 // round's shuffles run on the shared sharded-round engine
 // (parallel.RoundEngine) exactly like the Aggregation sweep: the
 // initiator order is cut into segments with per-shard xrand streams,
@@ -34,6 +38,7 @@ package cyclon
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
@@ -77,8 +82,8 @@ func (c Config) engine() parallel.EngineConfig {
 func Default() Config { return Config{ViewSize: 8, ShuffleLen: 4} }
 
 func (c *Config) validate() error {
-	if c.ViewSize < 1 {
-		return errors.New("cyclon: ViewSize must be >= 1")
+	if c.ViewSize < 1 || c.ViewSize > math.MaxUint16 {
+		return fmt.Errorf("cyclon: ViewSize must be in [1, %d]", math.MaxUint16)
 	}
 	if c.ShuffleLen < 1 || c.ShuffleLen > c.ViewSize {
 		return errors.New("cyclon: ShuffleLen must be in [1, ViewSize]")
@@ -94,18 +99,25 @@ type entry struct {
 	age  int32
 }
 
+// exchangeSlots sizes the stack buffers one exchange draws its index
+// permutations and outgoing subsets into; larger views fall back to the
+// heap (no built-in configuration uses one).
+const exchangeSlots = 32
+
 // Protocol is a running CYCLON instance over a set of peers. Views live
-// in dense slices indexed by node ID so concurrent shards can write
-// distinct peers' views without sharing map internals.
+// in a flat arena indexed by node ID (see view), so concurrent shards
+// write distinct peers' slots without sharing any allocation.
 type Protocol struct {
 	cfg     Config
 	rng     *xrand.Rand
-	views   [][]entry // indexed by node ID; meaningful iff member[id]
+	slab    []entry  // ViewSize slots per node ID
+	viewLen []uint16 // live entries per node ID; meaningful iff member[id]
 	member  []bool
 	count   int
 	counter *metrics.Counter
 
 	members []graph.NodeID                 // scratch: member ids in base order
+	perm    []int                          // scratch: bootstrap neighbor order
 	engine  parallel.RoundEngine[deferred] // owns all sharded-sweep scratch
 }
 
@@ -135,12 +147,27 @@ func (p *Protocol) Counter() *metrics.Counter { return p.counter }
 // Size returns the number of participating peers.
 func (p *Protocol) Size() int { return p.count }
 
-// grow extends the dense view storage to cover ids [0, n).
+// grow extends the view arena to cover ids [0, n).
 func (p *Protocol) grow(n int) {
-	for len(p.views) < n {
-		p.views = append(p.views, nil)
-		p.member = append(p.member, false)
+	if extra := n - len(p.member); extra > 0 {
+		p.slab = append(p.slab, make([]entry, extra*p.cfg.ViewSize)...)
+		p.viewLen = append(p.viewLen, make([]uint16, extra)...)
+		p.member = append(p.member, make([]bool, extra)...)
 	}
+}
+
+// view returns id's view in place: its live entries, with capacity
+// capped at the node's own ViewSize slots, so an append (merge) can
+// never spill into a neighbour's slots. Writes through it land in the
+// arena; length changes are stored back with setLen.
+func (p *Protocol) view(id graph.NodeID) []entry {
+	o := int(id) * p.cfg.ViewSize
+	return p.slab[o : o+int(p.viewLen[id]) : o+p.cfg.ViewSize]
+}
+
+// setLen records the length of id's view after an in-place update.
+func (p *Protocol) setLen(id graph.NodeID, view []entry) {
+	p.viewLen[id] = uint16(len(view))
 }
 
 // appendMemberIDs appends the participating peer ids in ascending order
@@ -161,8 +188,12 @@ func (p *Protocol) Bootstrap(g *graph.Graph) {
 	p.grow(g.NumIDs())
 	g.ForEachAlive(func(id graph.NodeID) {
 		nbrs := g.Neighbors(id)
-		view := make([]entry, 0, p.cfg.ViewSize)
-		order := p.rng.Perm(len(nbrs))
+		if cap(p.perm) < len(nbrs) {
+			p.perm = make([]int, len(nbrs))
+		}
+		order := p.perm[:len(nbrs)]
+		p.rng.PermInto(order)
+		view := p.view(id)[:0]
 		for _, i := range order {
 			if len(view) == p.cfg.ViewSize {
 				break
@@ -173,7 +204,7 @@ func (p *Protocol) Bootstrap(g *graph.Graph) {
 			p.member[id] = true
 			p.count++
 		}
-		p.views[id] = view
+		p.setLen(id, view)
 	})
 }
 
@@ -189,7 +220,7 @@ func (p *Protocol) Join(id graph.NodeID) {
 	// identical runs seed identical views.
 	ids := p.appendMemberIDs(nil)
 	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	view := make([]entry, 0, p.cfg.ViewSize)
+	view := p.view(id)[:0]
 	for _, other := range ids {
 		if len(view) == p.cfg.ViewSize {
 			break
@@ -198,7 +229,7 @@ func (p *Protocol) Join(id graph.NodeID) {
 	}
 	p.member[id] = true
 	p.count++
-	p.views[id] = view
+	p.setLen(id, view)
 }
 
 // Leave removes a peer silently — exactly how real churn behaves; other
@@ -208,7 +239,7 @@ func (p *Protocol) Leave(id graph.NodeID) {
 		panic(fmt.Sprintf("cyclon: node %d does not participate", id))
 	}
 	p.member[id] = false
-	p.views[id] = nil
+	p.viewLen[id] = 0
 	p.count--
 }
 
@@ -222,7 +253,7 @@ func (p *Protocol) View(id graph.NodeID) []graph.NodeID {
 	if !p.Alive(id) {
 		return nil
 	}
-	view := p.views[id]
+	view := p.view(id)
 	out := make([]graph.NodeID, len(view))
 	for i, e := range view {
 		out[i] = e.node
@@ -259,7 +290,7 @@ func (p *Protocol) RunRound() {
 
 	sw := parallel.Sweep[deferred]{
 		N:       n,
-		NumKeys: len(p.views),
+		NumKeys: len(p.member),
 		Key:     func(elem int32) int32 { return p.members[elem] },
 		Visit: func(sh *parallel.Shard[deferred], elem int32, rng *xrand.Rand) error {
 			id := p.members[elem]
@@ -302,7 +333,7 @@ func (p *Protocol) RunRound() {
 // view: ages increase, the oldest neighbor q is picked and evicted. It
 // reports false for an empty view.
 func (p *Protocol) beginShuffle(id graph.NodeID) (graph.NodeID, bool) {
-	view := p.views[id]
+	view := p.view(id)
 	if len(view) == 0 {
 		return graph.None, false
 	}
@@ -316,43 +347,55 @@ func (p *Protocol) beginShuffle(id graph.NodeID) (graph.NodeID, bool) {
 	q := view[oldest].node
 	// Remove q from the view (it is being contacted).
 	view[oldest] = view[len(view)-1]
-	p.views[id] = view[:len(view)-1]
+	p.setLen(id, view[:len(view)-1])
 	return q, true
 }
 
 // completeShuffle runs the exchange between initiator id and its live
 // target q: both draw their outgoing subsets from rng and merge what
-// they received.
+// they received. The index permutations and both subsets live in stack
+// buffers, so an exchange allocates nothing at the default view sizes.
 func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand) {
-	view := p.views[id]
+	var idxBuf [exchangeSlots]int
+	var entBuf [2 * exchangeSlots]entry
+	idxs, ents := idxBuf[:], entBuf[:]
+	if p.cfg.ViewSize > exchangeSlots {
+		idxs, ents = make([]int, p.cfg.ViewSize), make([]entry, 2*p.cfg.ViewSize)
+	}
+	sl := p.cfg.ShuffleLen
+	view := p.view(id)
 	// Build the outgoing subset: fresh self-pointer + up to
 	// ShuffleLen-1 random entries from the (q-less) view.
-	out := []entry{{node: id, age: 0}}
-	idxs := rng.Perm(len(view))
-	for _, i := range idxs {
-		if len(out) == p.cfg.ShuffleLen {
+	out := append(ents[:0:sl], entry{node: id, age: 0})
+	order := idxs[:len(view)]
+	rng.PermInto(order)
+	for _, i := range order {
+		if len(out) == sl {
 			break
 		}
 		out = append(out, view[i])
 	}
 	// q answers with a random subset of its own view.
-	qView := p.views[q]
-	back := make([]entry, 0, p.cfg.ShuffleLen)
-	qIdxs := rng.Perm(len(qView))
-	for _, i := range qIdxs {
-		if len(back) == p.cfg.ShuffleLen {
+	qView := p.view(q)
+	back := ents[sl : sl : 2*sl]
+	order = idxs[:len(qView)]
+	rng.PermInto(order)
+	for _, i := range order {
+		if len(back) == sl {
 			break
 		}
 		back = append(back, qView[i])
 	}
 	// Both merge what they received.
-	p.views[q] = p.merge(q, qView, out, back)
-	p.views[id] = p.merge(id, p.views[id], back, out)
+	p.setLen(q, p.merge(q, qView, out, back))
+	p.setLen(id, p.merge(id, p.view(id), back, out))
 }
 
 // merge folds received entries into view for owner: self-pointers and
 // duplicates are dropped; if the view overflows, entries that were sent
-// away (sent) are evicted first, then the oldest.
+// away (sent) are evicted first, then the oldest. view is an arena view
+// (see view), so appends stay inside owner's slots; the caller stores
+// the returned length with setLen.
 //
 // Membership is checked by scanning the view directly: views hold at
 // most ViewSize (~8) entries, where a linear pass over the live slice
@@ -425,11 +468,11 @@ func (p *Protocol) ExportGraph(maxID int) *graph.Graph {
 	// Add edges in id order: adjacency order decides every later
 	// RandomNeighbor draw, so identically seeded runs must export
 	// identical orders.
-	for id := graph.NodeID(0); int(id) < maxID && int(id) < len(p.views); id++ {
+	for id := graph.NodeID(0); int(id) < maxID && int(id) < len(p.member); id++ {
 		if !p.member[id] {
 			continue
 		}
-		for _, e := range p.views[id] {
+		for _, e := range p.view(id) {
 			if p.Alive(e.node) {
 				g.AddEdge(id, e.node)
 			}
@@ -449,11 +492,11 @@ func (p *Protocol) ExportOverlay(maxID, maxDeg int) *overlay.Network {
 // peers — the health metric shuffling drives toward zero after churn.
 func (p *Protocol) StaleFraction() float64 {
 	total, stale := 0, 0
-	for id, view := range p.views {
-		if !p.member[id] {
+	for id, in := range p.member {
+		if !in {
 			continue
 		}
-		for _, e := range view {
+		for _, e := range p.view(graph.NodeID(id)) {
 			total++
 			if !p.Alive(e.node) {
 				stale++
@@ -472,9 +515,9 @@ func (p *Protocol) AvgViewSize() float64 {
 		return 0
 	}
 	total := 0
-	for id, view := range p.views {
-		if p.member[id] {
-			total += len(view)
+	for id, in := range p.member {
+		if in {
+			total += int(p.viewLen[id])
 		}
 	}
 	return float64(total) / float64(p.count)

@@ -20,6 +20,8 @@ func TestConfigValidation(t *testing.T) {
 		{ViewSize: 0, ShuffleLen: 1},
 		{ViewSize: 4, ShuffleLen: 0},
 		{ViewSize: 4, ShuffleLen: 5},
+		// View lengths are stored as uint16 words in the arena.
+		{ViewSize: 1 << 16, ShuffleLen: 1},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -60,7 +62,7 @@ func TestViewCapacityInvariant(t *testing.T) {
 		p.RunRound()
 	}
 	for _, id := range p.appendMemberIDs(nil) {
-		view := p.views[id]
+		view := p.view(id)
 		if len(view) > p.cfg.ViewSize {
 			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), p.cfg.ViewSize)
 		}
@@ -141,7 +143,7 @@ func TestJoinSeedsView(t *testing.T) {
 		if id == newID {
 			continue
 		}
-		for _, e := range p.views[id] {
+		for _, e := range p.view(id) {
 			if e.node == newID {
 				indeg++
 			}

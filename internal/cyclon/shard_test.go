@@ -10,11 +10,10 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// roundState runs rounds shuffle rounds (after 30% silent departures,
-// so dead-target and stale-entry paths are exercised) and returns the
-// full view state plus the metered message total.
-func roundState(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([][]entry, uint64) {
-	t.Helper()
+// churned bootstraps a protocol on an n-node heterogeneous overlay and
+// silently removes 30% of its peers, so dead-target and stale-entry
+// paths are exercised.
+func churned(n int, cfg Config, seed uint64) *Protocol {
 	g := graph.Heterogeneous(n, 10, xrand.New(seed))
 	p := New(cfg, xrand.New(seed+1), nil)
 	p.Bootstrap(g)
@@ -24,16 +23,30 @@ func roundState(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([][]e
 	for _, id := range ids[:n*3/10] {
 		p.Leave(id)
 	}
+	return p
+}
+
+// viewState copies every member's view out of the arena, indexed by
+// node ID (nil for non-members).
+func viewState(p *Protocol) [][]entry {
+	out := make([][]entry, len(p.member))
+	for id, in := range p.member {
+		if in {
+			out[id] = append([]entry(nil), p.view(graph.NodeID(id))...)
+		}
+	}
+	return out
+}
+
+// roundState runs rounds shuffle rounds on a churned overlay and
+// returns the full view state plus the metered message total.
+func roundState(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([][]entry, uint64) {
+	t.Helper()
+	p := churned(n, cfg, seed)
 	for r := 0; r < rounds; r++ {
 		p.RunRound()
 	}
-	out := make([][]entry, len(p.views))
-	for id, view := range p.views {
-		if p.member[id] {
-			out[id] = append([]entry(nil), view...)
-		}
-	}
-	return out, p.counter.Total()
+	return viewState(p), p.counter.Total()
 }
 
 func viewsEqual(a, b [][]entry) (int, bool) {
@@ -245,7 +258,7 @@ func TestShardedViewInvariants(t *testing.T) {
 		p.RunRound()
 	}
 	for _, id := range p.appendMemberIDs(nil) {
-		view := p.views[id]
+		view := p.view(id)
 		if len(view) > cfg.ViewSize {
 			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), cfg.ViewSize)
 		}

@@ -175,10 +175,19 @@ type Sweep[D any] struct {
 	PairStreams bool
 }
 
+// stream is one per-round xrand stream kept by value in engine scratch.
+// The padding keeps the generators of concurrently drawing shards (or
+// meetings) on separate cache lines.
+type stream struct {
+	xrand.Rand
+	_ [64]byte
+}
+
 // RoundEngine drives a family's sharded rounds. The zero value is ready
 // to use; the engine owns the scratch buffers (sweep order, ownership
-// table, shard states, tournament schedule) and keeps them at their
-// high-water size, so a warm engine allocates nothing per round.
+// table, shard states, per-shard and per-meeting streams, tournament
+// schedule) and keeps them at their high-water size, so a warm round
+// allocates only the worker pool's O(shards) bookkeeping.
 //
 // An engine is not safe for concurrent rounds; each protocol instance
 // owns one.
@@ -186,6 +195,7 @@ type RoundEngine[D any] struct {
 	order   []int32    // scratch: sweep order, permuted per mode
 	ownerOf []uint16   // scratch: shard owning each key this round
 	shards  []Shard[D] // scratch: per-shard state
+	streams []stream   // scratch: per-shard streams, then per-meeting streams
 
 	schedN   int        // shard count the memoized schedule was built for
 	schedule [][][2]int // memoized RoundRobinPairs(schedN)
@@ -226,6 +236,9 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	for len(e.shards) < shards {
 		e.shards = append(e.shards, Shard[D]{})
 	}
+	for len(e.streams) < shards {
+		e.streams = append(e.streams, stream{})
+	}
 
 	if shards == 1 {
 		sh := &e.shards[0]
@@ -236,7 +249,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		for t := range sh.def {
 			sh.def[t] = sh.def[t][:0]
 		}
-		srng := xrand.NewStream(roundSeed, 0)
+		srng := &e.streams[0].Rand
+		srng.SeedStream(roundSeed, 0)
 		if cfg.Shuffle == ShuffleLocal {
 			srng.Shuffle(n, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
 		}
@@ -274,7 +288,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	// state is read or written by two shards and Workers only shape
 	// scheduling.
 	if err := ForEach(cfg.Workers, shards, func(s int) error {
-		srng := xrand.NewStream(roundSeed, uint64(s))
+		srng := &e.streams[s].Rand
+		srng.SeedStream(roundSeed, uint64(s))
 		sh := &e.shards[s]
 		sh.Index = s
 		sh.Meters = [2]uint64{}
@@ -309,7 +324,9 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	// Phase 2: the cross-shard tournament. Every meeting {a, b} only
 	// touches state owned by a or b, and no tournament round repeats a
 	// shard, so the meetings of one round run concurrently while the
-	// application order stays fixed by the schedule.
+	// application order stays fixed by the schedule. Phase 1 is done with
+	// the shard streams, and a round has at most shards/2 meetings, so
+	// meeting i reseeds e.streams[i] as its pair stream.
 	if e.schedN != shards {
 		e.schedule = RoundRobinPairs(shards)
 		e.schedN = shards
@@ -319,7 +336,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 			a, b := round[i][0], round[i][1]
 			var prng *xrand.Rand
 			if sw.PairStreams {
-				prng = xrand.NewStream(roundSeed, uint64(shards+a*shards+b))
+				prng = &e.streams[i].Rand
+				prng.SeedStream(roundSeed, uint64(shards+a*shards+b))
 			}
 			for _, d := range e.shards[a].def[b] {
 				if err := sw.Resolve(d, prng); err != nil {

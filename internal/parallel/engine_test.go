@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"p2psize/internal/xrand"
@@ -247,8 +248,8 @@ func TestEngineErrorAborts(t *testing.T) {
 
 // TestEngineWarmBuffersStable is the footprint regression test: once an
 // engine has run a round at a given size, repeat rounds must reuse every
-// scratch buffer — sweep order, ownership table, shard states, deferral
-// buckets, tournament schedule — without reallocating.
+// scratch buffer — sweep order, ownership table, shard states, streams,
+// deferral buckets, tournament schedule — without reallocating.
 func TestEngineWarmBuffersStable(t *testing.T) {
 	const n, shards = 20000, 4
 	f := newToy(n)
@@ -263,6 +264,7 @@ func TestEngineWarmBuffersStable(t *testing.T) {
 	}
 	e := &f.engine
 	order0, owner0, shards0 := &e.order[0], &e.ownerOf[0], &e.shards[0]
+	streams0 := &e.streams[0]
 	defCaps := make([][]int, shards)
 	for s := range e.shards {
 		for ti := range e.shards[s].def {
@@ -275,7 +277,8 @@ func TestEngineWarmBuffersStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if &e.order[0] != order0 || &e.ownerOf[0] != owner0 || &e.shards[0] != shards0 {
+	if &e.order[0] != order0 || &e.ownerOf[0] != owner0 || &e.shards[0] != shards0 ||
+		&e.streams[0] != streams0 {
 		t.Fatal("warm engine reallocated a core scratch buffer")
 	}
 	if &e.schedule[0] != sched0 {
@@ -289,7 +292,8 @@ func TestEngineWarmBuffersStable(t *testing.T) {
 		}
 	}
 	// And the per-round allocation count is O(shards), never O(n): only
-	// the per-shard streams and the worker pool's bookkeeping allocate.
+	// the worker pool's bookkeeping allocates (streams live by value in
+	// the engine's scratch).
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := f.engine.Round(rng, cfg, sw); err != nil {
 			t.Fatal(err)
@@ -373,12 +377,13 @@ func TestEnginePairStreams(t *testing.T) {
 	const n, shards = 1000, 4
 	f := newToy(n)
 	sw := f.sweep(nil)
-	sawNil, sawStream := false, false
+	// Meetings of one tournament round run concurrently.
+	var sawNil, sawStream atomic.Bool
 	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
 		if rng == nil {
-			sawNil = true
+			sawNil.Store(true)
 		} else {
-			sawStream = true
+			sawStream.Store(true)
 		}
 		f.apply(d.u, d.v)
 		return nil
@@ -386,26 +391,27 @@ func TestEnginePairStreams(t *testing.T) {
 	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
 		t.Fatal(err)
 	}
-	if !sawNil || sawStream {
+	if !sawNil.Load() || sawStream.Load() {
 		t.Fatal("PairStreams=false must hand Resolve a nil rng")
 	}
 	f = newToy(n)
 	sw = f.sweep(nil)
-	sawNil, sawStream = false, false
+	sawNil.Store(false)
+	sawStream.Store(false)
 	sw.PairStreams = true
 	base := sw.Resolve
 	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
 		if rng == nil {
-			sawNil = true
+			sawNil.Store(true)
 		} else {
-			sawStream = true
+			sawStream.Store(true)
 		}
 		return base(d, nil)
 	}
 	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
 		t.Fatal(err)
 	}
-	if sawNil || !sawStream {
+	if sawNil.Load() || !sawStream.Load() {
 		t.Fatal("PairStreams=true must hand Resolve the meeting stream")
 	}
 }

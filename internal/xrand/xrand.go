@@ -57,13 +57,19 @@ func (r *Rand) Seed(seed uint64) {
 // one stream per run index this way: the draws of run i are fixed by
 // (seed, i) alone, independent of worker count and scheduling.
 func NewStream(seed, stream uint64) *Rand {
-	r := &Rand{
-		hi: splitmix64(seed ^ splitmix64(stream+0x632be59bd9b4e019)),
-		lo: splitmix64(seed + 0x9e3779b97f4a7c15 + splitmix64(stream)),
-	}
-	r.Uint64()
-	r.Uint64()
+	r := &Rand{}
+	r.SeedStream(seed, stream)
 	return r
+}
+
+// SeedStream resets r in place to the state NewStream(seed, stream)
+// returns, so callers that keep generators by value (the round engine's
+// per-shard streams) derive a stream without a heap allocation.
+func (r *Rand) SeedStream(seed, stream uint64) {
+	r.hi = splitmix64(seed ^ splitmix64(stream+0x632be59bd9b4e019))
+	r.lo = splitmix64(seed + 0x9e3779b97f4a7c15 + splitmix64(stream))
+	r.Uint64()
+	r.Uint64()
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator; it is used only
@@ -174,16 +180,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // PermInto fills p (reused across calls to avoid allocation) with a random

@@ -188,10 +188,8 @@ func TestBernoulliRate(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
-		p := New(seed).Perm(int(n))
-		if len(p) != int(n) {
-			return false
-		}
+		p := make([]int, n)
+		New(seed).PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= int(n) || seen[v] {
@@ -258,6 +256,42 @@ func TestUint64BitBalance(t *testing.T) {
 		f := float64(c) / draws
 		if f < 0.47 || f > 0.53 {
 			t.Fatalf("bit %d set with frequency %g", b, f)
+		}
+	}
+}
+
+// TestSeedStreamMatchesNewStream pins the in-place reseed to the
+// allocating constructor draw for draw — on a fresh value and on one
+// reused after drawing from another stream — and pins both to the
+// stream's first words, so neither path can drift.
+func TestSeedStreamMatchesNewStream(t *testing.T) {
+	cases := []struct {
+		seed, stream uint64
+		first        [3]uint64
+	}{
+		{1, 7, [3]uint64{0xbbdf79be52b583f1, 0x1b3d939262d6977, 0xc419f7068f26333e}},
+		{0, 0, [3]uint64{0x13ed129e08930953, 0xc1f7b6c5963af531, 0xedacc28a5f484cce}},
+		{^uint64(0), 12345, [3]uint64{0xa6623eadb5579988, 0xf8608fa08bb9e82e, 0x7293bd773252af58}},
+	}
+	var reused Rand
+	for _, c := range cases {
+		want := NewStream(c.seed, c.stream)
+		for i, w := range c.first {
+			if got := want.Uint64(); got != w {
+				t.Fatalf("NewStream(%d, %d) draw %d = %#x, want %#x", c.seed, c.stream, i, got, w)
+			}
+		}
+		want = NewStream(c.seed, c.stream)
+		var fresh Rand
+		fresh.SeedStream(c.seed, c.stream)
+		reused.Uint64()
+		reused.SeedStream(c.seed, c.stream)
+		for i := 0; i < 1000; i++ {
+			w := want.Uint64()
+			if a, b := fresh.Uint64(), reused.Uint64(); a != w || b != w {
+				t.Fatalf("(%d, %d) draw %d: SeedStream gave %#x / %#x (reused), NewStream %#x",
+					c.seed, c.stream, i, a, b, w)
+			}
 		}
 	}
 }
